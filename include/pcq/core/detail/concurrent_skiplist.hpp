@@ -3,12 +3,12 @@
 //
 // Design, after Lindén & Jonsson (OPODIS 2013):
 //
-//   - Nodes are key-ordered at level 0; upper levels are hints. A node is
-//     logically deleted by setting the mark bit (LSB) of its *own* level-0
-//     next pointer with a single fetch_or — the deleteMin linearization
-//     point. Once marked, a node's level-0 next pointer is immutable
-//     (every CAS expects an unmarked value), so the chain of deleted nodes
-//     at the front of the list is frozen.
+//   - Nodes are key-ordered at every level. A node is logically deleted
+//     (claimed) by setting the mark bit (LSB) of its *own* level-0 next
+//     pointer with a single fetch_or — the deleteMin linearization point.
+//     Once marked, a node's level-0 next pointer is immutable (every CAS
+//     expects an unmarked value), so the chain of deleted nodes at the
+//     front of the list is frozen.
 //   - try_pop_front traverses the deleted prefix read-only and claims the
 //     first live node with one fetch_or. Physical unlinking is batched:
 //     only when the observed prefix exceeds kPrefixBound does the claiming
@@ -22,6 +22,27 @@
 //     front, then claims the first live node from there. Sprays never
 //     restructure; spray_pq mixes in cleaner (front) pops for that.
 //
+// Upper levels are Harris lists of their own (Fraser's skiplist): a
+// claimed node's level-i pointer gets its own mark bit, which freezes it,
+// and only a node frozen at level i may be unlinked at level i (by
+// swinging its predecessor to its frozen successor). Freezing runs top
+// down (mark_upper), by any thread, once level 0 is claimed. Claims do not
+// freeze; searches that meet a claimed tower freeze and snip it, and a
+// level-0 detach freezes every tower it detaches first. Three invariants
+// follow, for every level i >= 1:
+//
+//   (I1) a node linked at level i and unmarked there is reachable at
+//        level i (it was linked behind a node unmarked at the time, and
+//        unlinking needs a mark);
+//   (I2) marked at level i-1 implies marked at level i (top-down), so a
+//        node unmarked at level i is also reachable at level i-1;
+//   (I3) a node unmarked at level 1 has not been detached at level 0.
+//
+// Traversals therefore descend only from the head or from a node they
+// saw unmarked at the level they leave; from such a node every pointer
+// they follow (frozen ones included) leads to a node that was reachable
+// at some instant after they pinned.
+//
 // Memory reclamation is a template policy:
 //
 //   - reclaim_deferred: nodes are threaded onto striped allocation lists
@@ -30,39 +51,26 @@
 //     memory grows with the total insert count — acceptable only for
 //     bench-lifetime queues.
 //   - reclaim_ebr (default for the pq wrappers): epoch-based reclamation
-//     via util/ebr.hpp. Every operation runs under a pinned epoch, and
-//     the two sites that make dead nodes unreachable at level 0 — the
-//     prefix restructure's head swing and an insert's Harris-style
-//     dead-run unlink — own the nodes their successful CAS detached
-//     (CAS uniqueness makes ownership exclusive). The owner strips each
-//     node out of the upper levels it still appears in (unlink_upper)
-//     and retires it to the epoch domain, which frees it two epoch
-//     advances later. Pinning also keeps the level-0 CAS ABA-safe: a
-//     node's address cannot be recycled while any operation that could
-//     have read it is still pinned.
+//     via util/ebr.hpp. Every operation runs under a pinned epoch. The two
+//     sites that make dead nodes unreachable at level 0 — the prefix
+//     restructure's head swing and an insert's Harris-style dead-run
+//     unlink — own the nodes their successful CAS detached (CAS
+//     uniqueness makes ownership exclusive). The owner sweeps the detached
+//     key range at every upper level, snipping each frozen node, and then
+//     retires the nodes to the epoch domain, which frees them two epoch
+//     advances later. By the invariants above, no operation that pins
+//     after the retire can reach them. Pinning also keeps every CAS
+//     ABA-safe: a node's address cannot be recycled while any operation
+//     that could have read it is still pinned.
 //
-//     Freeing memory promotes stale upper-level hints from "benign rot"
-//     to use-after-free, so upper levels obey a strict discipline. At
-//     level 0 no extra work is needed: a marked node's pointer is
-//     frozen, and every level-0 splice CAS expects the exact current
-//     pointer value, so a link to a detached (hence retired) node can
-//     never be installed. At levels >= 1 the expectation argument does
-//     not hold (a stale successor read can be CASed in after its
-//     target's owner already swept the level), so every site that
-//     installs an upper-level pointer re-validates after the CAS and
-//     keeps unlinking while the installed successor is dead
-//     (unlink_dead_successor loops in locate_preds / unlink_upper /
-//     collect_prefix / insert's linking). The residual store-buffer
-//     race — installer's link + liveness re-check vs claimer's mark +
-//     level sweep, each missing the other — is closed by making the
-//     claiming fetch_or and the upper-level pointer accesses seq_cst
-//     (free on x86: seq_cst RMWs are the same locked instructions):
-//     in the single total order, either the installer's re-check sees
-//     the mark (and it removes its own link), or the claimer's sweep
-//     sees the link (and unlinks it). Links *from* already-unreachable
-//     nodes need no sweep: only readers pinned before the node was
-//     detached can traverse them, and while any such reader stays
-//     pinned the epoch cannot advance far enough to free the target.
+//     One race remains: a node can be claimed and detached while its
+//     inserter is still linking its upper levels, and the inserter's
+//     last link can land after the owner's sweep. A per-node link_state
+//     settles it. The owner CASes kLinking -> kHandedOff and, on success,
+//     leaves the node to its inserter, which finds the mark, stops
+//     linking, sweeps, and retires the node itself. An inserter that
+//     finishes first CASes kLinking -> kLinked, and the owner then
+//     sweeps and retires as usual.
 //
 // Key and Value must be trivially copyable and trivially destructible
 // (nodes are raw storage, and keys/values are read after a claim without
@@ -275,8 +283,9 @@ class concurrent_skiplist {
     created_.add(stripe_of(n), 1);
 
     node* preds[kMaxHeight];
+    node* succs[kMaxHeight];
     while (true) {
-      locate_preds(key, preds);
+      locate_preds(key, preds, succs);
       node* pred = preds[0];
       std::uintptr_t pred_next = pred->tower()[0].load(std::memory_order_acquire);
       if (is_marked(pred_next)) {
@@ -298,11 +307,14 @@ class concurrent_skiplist {
         const std::uintptr_t cur_next =
             cur->tower()[0].load(std::memory_order_acquire);
         if (is_marked(cur_next)) {
+          // Freeze every tower of the run before detaching it (I3).
+          mark_upper(cur);
           node* run_end = ptr_of(cur_next);
           while (run_end != nullptr) {
             const std::uintptr_t run_next =
                 run_end->tower()[0].load(std::memory_order_acquire);
             if (!is_marked(run_next)) break;
+            mark_upper(run_end);
             run_end = ptr_of(run_next);
           }
           if (!pred->tower()[0].compare_exchange_strong(
@@ -331,41 +343,34 @@ class concurrent_skiplist {
     }
     note(n, +1);
 
-    // Link the upper levels best-effort; they are search hints, level 0 is
-    // the truth. Stop if the node has already been claimed — and because
-    // the claim can land between the check and the link (or between the
-    // link and the claimer's level sweep), re-check *after* every
-    // successful link and self-unlink on detection; the seq_cst pairing
-    // with the claim's fetch_or guarantees at least one side sees the
-    // other. The freshly linked successor is similarly re-validated so a
-    // stale read can never leave n pointing at a retired node.
+    // Link the upper levels bottom-up (Fraser): point n at the located
+    // successor, then swing the predecessor; re-search on a lost race.
+    // Stop as soon as n is claimed — its towers are (about to be) frozen,
+    // and the CAS on n's own pointer fails once they are.
     for (int lvl = 1; lvl < height; ++lvl) {
-      node* pred = preds[lvl];
-      while (true) {
-        if (is_marked(n->tower()[0].load(std::memory_order_seq_cst))) {
-          unlink_upper(n);
-          return;
+      bool linked = false;
+      while (!is_marked(n->tower()[0].load(std::memory_order_acquire))) {
+        std::uintptr_t own = n->tower()[lvl].load(std::memory_order_seq_cst);
+        const std::uintptr_t succ_t = tag_of(succs[lvl]);
+        if (is_marked(own) ||
+            (own != succ_t &&
+             !n->tower()[lvl].compare_exchange_strong(
+                 own, succ_t, std::memory_order_seq_cst,
+                 std::memory_order_relaxed))) {
+          break;  // frozen: n was claimed
         }
-        std::uintptr_t succ_t = pred->tower()[lvl].load(std::memory_order_acquire);
-        node* succ = ptr_of(succ_t);
-        while (succ != nullptr && compare_(succ->key, key)) {
-          pred = succ;
-          succ_t = pred->tower()[lvl].load(std::memory_order_acquire);
-          succ = ptr_of(succ_t);
-        }
-        n->tower()[lvl].store(succ_t, std::memory_order_relaxed);
-        if (pred->tower()[lvl].compare_exchange_strong(
-                succ_t, tag_of(n), std::memory_order_seq_cst,
+        std::uintptr_t expected = succ_t;
+        if (preds[lvl]->tower()[lvl].compare_exchange_strong(
+                expected, tag_of(n), std::memory_order_seq_cst,
                 std::memory_order_relaxed)) {
-          unlink_dead_successors(n, lvl);
-          if (is_marked(n->tower()[0].load(std::memory_order_seq_cst))) {
-            unlink_upper(n);
-            return;
-          }
+          linked = true;
           break;
         }
+        locate_preds(key, preds, succs);
       }
+      if (!linked) break;
     }
+    finish_linking(rh, n);
   }
 
   /// Lindén–Jonsson deleteMin: walk the frozen marked prefix read-only,
@@ -387,8 +392,6 @@ class concurrent_skiplist {
     while (cur != nullptr) {
       std::uintptr_t next = cur->tower()[0].load(std::memory_order_acquire);
       if (!is_marked(next)) {
-        // seq_cst: the claim anchors the total order the upper-level
-        // reclamation discipline relies on (see header comment).
         next = cur->tower()[0].fetch_or(1, std::memory_order_seq_cst);
         if (!is_marked(next)) {
           key = cur->key;
@@ -417,7 +420,9 @@ class concurrent_skiplist {
 
   /// try_pop_spray body; caller holds a pin() guard for rh (the handle
   /// parameter is kept for signature symmetry — sprays never restructure,
-  /// so they retire nothing themselves).
+  /// so they retire nothing themselves). Upper-level steps land only on
+  /// nodes seen unmarked at that level, stepping over frozen ones, so
+  /// every descent starts from a node reachable one level down (I2, I3).
   bool try_pop_spray_pinned([[maybe_unused]] reclaim_handle& rh,
                             xoshiro256ss& rng, int start_height,
                             std::uint64_t max_jump, Key& key, Value& value) {
@@ -426,7 +431,13 @@ class concurrent_skiplist {
     for (int lvl = top; lvl >= 0; --lvl) {
       std::uint64_t jump = rng.bounded(max_jump + 1);
       while (jump-- > 0) {
-        node* next = ptr_of(cur->tower()[lvl].load(std::memory_order_acquire));
+        node* next = ptr_of(cur->tower()[lvl].load(std::memory_order_seq_cst));
+        while (lvl > 0 && next != nullptr) {
+          const std::uintptr_t next_next =
+              next->tower()[lvl].load(std::memory_order_seq_cst);
+          if (!is_marked(next_next)) break;
+          next = ptr_of(next_next);
+        }
         if (next == nullptr) break;
         cur = next;
       }
@@ -453,15 +464,21 @@ class concurrent_skiplist {
  private:
   static constexpr bool kEager = reclaim_type::kEager;
 
+  /// Who reclaims a detached node whose inserter may still be linking
+  /// its upper levels (see the header comment).
+  enum : std::uint8_t { kLinking, kLinked, kHandedOff };
+
   struct node {
     Key key;
     Value value;
     int height;
+    std::atomic<std::uint8_t> link_state;
     /// Reclamation link: striped all-allocations list (reclaim_deferred)
     /// or limbo list once retired (reclaim_ebr). Never a traversal edge.
     node* alloc_next;
-    // Tower of tagged pointers (LSB = logically-deleted mark, level 0
-    // only). Trailing-array idiom: make_node() allocates `height` slots.
+    // Tower of tagged pointers (LSB = mark: claimed at level 0, frozen at
+    // levels >= 1). Trailing-array idiom: make_node() allocates `height`
+    // slots.
     std::atomic<std::uintptr_t> next_[1];
 
     std::atomic<std::uintptr_t>* tower() { return next_; }
@@ -494,6 +511,8 @@ class concurrent_skiplist {
     n->key = key;
     n->value = value;
     n->height = height;
+    new (&n->link_state) std::atomic<std::uint8_t>(
+        height > 1 ? std::uint8_t{kLinking} : std::uint8_t{kLinked});
     n->alloc_next = nullptr;
     for (int i = 0; i < height; ++i) {
       new (&n->tower()[i]) std::atomic<std::uintptr_t>(0);
@@ -509,112 +528,132 @@ class concurrent_skiplist {
     count_.add(stripe_of(n), delta);
   }
 
-  /// Reclaim an exclusively-owned chain of marked nodes that a successful
-  /// CAS just detached from level 0: [first, end), linked by their frozen
-  /// level-0 pointers. Each node is stripped out of any upper level it
-  /// still appears in, then handed to the epoch domain. No-op under
+  /// Freeze a claimed node's upper levels, top down (I2). Idempotent and
+  /// safe from any thread once level 0 is marked.
+  static void mark_upper(node* n) {
+    for (int lvl = n->height - 1; lvl >= 1; --lvl) {
+      if (!is_marked(n->tower()[lvl].load(std::memory_order_seq_cst))) {
+        n->tower()[lvl].fetch_or(1, std::memory_order_seq_cst);
+      }
+    }
+  }
+
+  /// End of an insert's upper-level linking. If the node was detached
+  /// and handed off meanwhile, its reclamation falls to us: no link of
+  /// ours can land any more, so sweep it out and retire it.
+  void finish_linking([[maybe_unused]] reclaim_handle& rh, node* n) {
+    if constexpr (kEager) {
+      std::uint8_t expected = kLinking;
+      if (n->height > 1 &&
+          !n->link_state.compare_exchange_strong(expected, kLinked,
+                                                 std::memory_order_seq_cst)) {
+        sweep_upper(n->key, n->key);
+        reclaim_type::on_unlinked(rh, n);
+      }
+    }
+  }
+
+  /// Reclaim a chain of claimed, frozen nodes that a successful CAS just
+  /// detached from level 0: [first, end), linked by their frozen level-0
+  /// pointers and key-sorted. Nodes whose inserter is still linking are
+  /// handed to it; the rest are swept out of the upper levels in one
+  /// pass over their key range and retired. No-op under
   /// reclaim_deferred.
   void retire_chain([[maybe_unused]] reclaim_handle& rh, node* first,
                     node* end) {
     if constexpr (kEager) {
+      node* lo = nullptr;
+      node* hi = nullptr;
+      for (node* n = first; n != end;
+           n = ptr_of(n->tower()[0].load(std::memory_order_relaxed))) {
+        std::uint8_t expected = kLinking;
+        if (n->link_state.compare_exchange_strong(
+                expected, kHandedOff, std::memory_order_seq_cst)) {
+          continue;
+        }
+        if (n->height > 1) {
+          if (lo == nullptr) lo = n;
+          hi = n;
+        }
+      }
+      if (lo != nullptr) sweep_upper(lo->key, hi->key);
       node* n = first;
       while (n != end) {
         node* next = ptr_of(n->tower()[0].load(std::memory_order_relaxed));
-        unlink_upper(n);
-        reclaim_type::on_unlinked(rh, n);
+        if (n->link_state.load(std::memory_order_relaxed) != kHandedOff) {
+          reclaim_type::on_unlinked(rh, n);
+        }
         n = next;
       }
     }
   }
 
-  /// Keep unlinking pred's immediate successor at `lvl` while it is dead
-  /// (level-0-marked), re-reading after every CAS. This is the one safe
-  /// way to repoint an upper-level pointer: a single unlink CAS installs
-  /// a successor read from a dead node's tower, and that value can be
-  /// stale — possibly a node whose owner already swept this level and
-  /// retired it. Looping until the observed successor is live (or null)
-  /// restores the invariant: the seq_cst exit load orders before any
-  /// later claim of that successor, so its eventual owner's sweep is
-  /// guaranteed to see (and remove) the link we installed. Also called
-  /// after an insert links a node, for the same reason. Safe against
-  /// concurrent sweeps of the same region — a lost CAS just re-reads —
-  /// and pred itself being dead only drops hints.
-  void unlink_dead_successors(node* pred, int lvl) {
-    while (true) {
-      std::uintptr_t cur_t = pred->tower()[lvl].load(std::memory_order_seq_cst);
-      node* cur = ptr_of(cur_t);
-      if (cur == nullptr) return;
-      if (!is_marked(cur->tower()[0].load(std::memory_order_seq_cst))) return;
-      const std::uintptr_t next =
-          cur->tower()[lvl].load(std::memory_order_seq_cst);
-      pred->tower()[lvl].compare_exchange_strong(cur_t, next,
-                                                 std::memory_order_seq_cst,
-                                                 std::memory_order_relaxed);
-      // Success or failure: re-read and re-validate.
+  /// Unlink every frozen node with key in [lo, hi] from every upper
+  /// level. Descends like a search for `lo`, then walks each level past
+  /// `hi`, snipping frozen successors; a walker node that freezes under
+  /// us forces a restart from the head (Harris). Afterwards every node in
+  /// the range that was frozen before the call is unlinked everywhere.
+  void sweep_upper(const Key& lo, const Key& hi) {
+    while (!try_sweep_upper(lo, hi)) {
     }
   }
 
-  /// Remove n from every upper level it may be linked at, so it can be
-  /// retired. The walk advances only over live nodes and unlinks *every*
-  /// dead successor it meets (n included) via unlink_dead_successors'
-  /// discipline — plain helping that also keeps the front of each upper
-  /// list clean. Identity is irrelevant: the walk is bounded by n's key
-  /// position, n is dead, and any dead node at or before that position
-  /// is legitimately unlinkable. Afterwards n is not linked at the level
-  /// from any live-reachable predecessor: the walk covered every one,
-  /// and installations it raced with either saw n's mark (seq_cst) and
-  /// self-unlinked, or are ordered before our sweep and were swept.
-  void unlink_upper(node* n) {
-    for (int lvl = n->height - 1; lvl >= 1; --lvl) {
-      node* pred = head_;
+  bool try_sweep_upper(const Key& lo, const Key& hi) {
+    node* pred = head_;  // last node seen unmarked with key < lo
+    for (int lvl = kMaxHeight - 1; lvl >= 1; --lvl) {
+      node* walker = pred;
       while (true) {
-        std::uintptr_t cur_t =
-            pred->tower()[lvl].load(std::memory_order_seq_cst);
+        std::uintptr_t cur_t = walker->tower()[lvl].load(std::memory_order_seq_cst);
+        if (is_marked(cur_t)) return false;
         node* cur = ptr_of(cur_t);
         if (cur == nullptr) break;
-        if (is_marked(cur->tower()[0].load(std::memory_order_seq_cst))) {
-          const std::uintptr_t next =
-              cur->tower()[lvl].load(std::memory_order_seq_cst);
-          pred->tower()[lvl].compare_exchange_strong(
-              cur_t, next, std::memory_order_seq_cst,
+        const std::uintptr_t cur_next =
+            cur->tower()[lvl].load(std::memory_order_seq_cst);
+        if (is_marked(cur_next)) {
+          walker->tower()[lvl].compare_exchange_strong(
+              cur_t, cur_next & ~std::uintptr_t{1}, std::memory_order_seq_cst,
               std::memory_order_relaxed);
-          continue;  // re-read pred's pointer either way
+          continue;  // re-read walker's pointer either way
         }
-        if (compare_(n->key, cur->key)) break;  // live and past n's position
-        pred = cur;
+        if (compare_(hi, cur->key)) break;
+        if (compare_(cur->key, lo)) pred = cur;
+        walker = cur;
       }
     }
+    return true;
   }
 
-  /// Fills preds[lvl] = last node with key < `key` seen at each level.
-  /// Preds may be logically deleted; callers validate before CASing.
-  ///
-  /// Upper-level hygiene: dead nodes encountered at levels >= 1 are
-  /// unlinked in passing (their upper pointers are hints, not truth, so a
-  /// stale-successor race at worst drops a hint). Without this the upper
-  /// lists rot into chains of long-dead towers — level-0 helping keeps the
-  /// visible prefix short, so offset-triggered collection rarely fires,
-  /// and descents (sprays especially) would walk an ever-growing frozen
-  /// graveyard before rejoining the live list.
-  void locate_preds(const Key& key, node** preds) {
+  /// Fraser search: preds[lvl] = last node seen unmarked with key < `key`,
+  /// succs[lvl] = its successor (first key >= `key`, or null), for every
+  /// level >= 1; frozen nodes met on the way are snipped, and claimed
+  /// towers not yet frozen are frozen first, so upper levels do not rot
+  /// into chains of dead towers. Level 0 is walked read-only from
+  /// preds[1]; preds[0] may be dead (the caller validates). Restarts from
+  /// the head when a predecessor freezes under it.
+  void locate_preds(const Key& key, node** preds, node** succs) {
+    while (!try_locate_preds(key, preds, succs)) {
+    }
+  }
+
+  bool try_locate_preds(const Key& key, node** preds, node** succs) {
     node* pred = head_;
-    for (int lvl = kMaxHeight - 1; lvl >= 0; --lvl) {
+    for (int lvl = kMaxHeight - 1; lvl >= 1; --lvl) {
+      node* cur = nullptr;
       while (true) {
-        std::uintptr_t cur_t = pred->tower()[lvl].load(std::memory_order_acquire);
-        node* cur = ptr_of(cur_t);
+        std::uintptr_t cur_t = pred->tower()[lvl].load(std::memory_order_seq_cst);
+        if (is_marked(cur_t)) return false;
+        cur = ptr_of(cur_t);
         if (cur == nullptr) break;
-        if (lvl > 0 &&
+        std::uintptr_t cur_next =
+            cur->tower()[lvl].load(std::memory_order_seq_cst);
+        if (!is_marked(cur_next) &&
             is_marked(cur->tower()[0].load(std::memory_order_seq_cst))) {
-          // Same unlink-and-revalidate discipline as
-          // unlink_dead_successors: the loop re-reads after the CAS and
-          // only ever advances past a live successor, so a stale
-          // cur_next pointing at a retired node cannot survive the
-          // traversal (required under reclaim_ebr, harmless hygiene
-          // under reclaim_deferred).
-          const std::uintptr_t cur_next =
-              cur->tower()[lvl].load(std::memory_order_seq_cst);
+          mark_upper(cur);
+          cur_next = cur->tower()[lvl].load(std::memory_order_seq_cst);
+        }
+        if (is_marked(cur_next)) {
           pred->tower()[lvl].compare_exchange_strong(
-              cur_t, cur_next, std::memory_order_seq_cst,
+              cur_t, cur_next & ~std::uintptr_t{1}, std::memory_order_seq_cst,
               std::memory_order_relaxed);
           continue;  // re-read pred's pointer either way
         }
@@ -622,26 +661,27 @@ class concurrent_skiplist {
         pred = cur;
       }
       preds[lvl] = pred;
+      succs[lvl] = cur;
     }
+    node* cur = ptr_of(pred->tower()[0].load(std::memory_order_acquire));
+    while (cur != nullptr && compare_(cur->key, key)) {
+      pred = cur;
+      cur = ptr_of(cur->tower()[0].load(std::memory_order_acquire));
+    }
+    preds[0] = pred;
+    succs[0] = cur;
+    return true;
   }
 
-  /// Batched physical deletion: swing the head's pointers past the
-  /// currently-marked prefix. The prefix chain is frozen (every node in it
-  /// is marked, so its level-0 pointers are immutable), which means a CAS
-  /// anchored on a fresh read of head->next[0] can only ever unlink dead
-  /// nodes. The level-0 cut retries with re-reads a few times: under front
-  /// churn (inserts of new minima, concurrent claims) a one-shot CAS
-  /// nearly always loses and the prefix would grow without bound. Upper
-  /// levels go first so searches keep descending into a valid region; any
-  /// upper link the pre-swing missed (nodes that joined the prefix after
-  /// it) is handled per-node by unlink_upper before retirement.
+  /// Batched physical deletion: swing the head past the currently-marked
+  /// prefix. The prefix chain is frozen (every node in it is marked, so
+  /// its level-0 pointers are immutable), which means a CAS anchored on a
+  /// fresh read of head->next[0] can only ever unlink dead nodes. Each
+  /// tower is frozen before the swing (I3). The cut retries with
+  /// re-reads a few times: under front churn (inserts of new minima,
+  /// concurrent claims) a one-shot CAS nearly always loses and the prefix
+  /// would grow without bound.
   void collect_prefix(reclaim_handle& rh) {
-    for (int lvl = kMaxHeight - 1; lvl >= 1; --lvl) {
-      // One dead node at a time with revalidation (not one walk + one
-      // swing): a single CAS to a snapshot taken over a dead run could
-      // install a pointer to a node retired meanwhile.
-      unlink_dead_successors(head_, lvl);
-    }
     for (int attempt = 0; attempt < 4; ++attempt) {
       std::uintptr_t first = head_->tower()[0].load(std::memory_order_acquire);
       node* cur = ptr_of(first);
@@ -650,6 +690,7 @@ class concurrent_skiplist {
         const std::uintptr_t next =
             cur->tower()[0].load(std::memory_order_acquire);
         if (!is_marked(next)) break;
+        mark_upper(cur);
         cur = ptr_of(next);
         ++walked;
       }

@@ -32,17 +32,15 @@
 //   };
 //
 // so arity-style compile-time knobs spell naturally at the use site
-// (`multi_queue<K, V, C, dary_heap<8>>`) without template-template
+// (`multi_queue<K, V, C, dary_heap<4>>`) without template-template
 // parameters. `heap_substrate_t` performs the rebind.
 //
 // In-tree substrates (each header defines the concrete `*_t` type and
 // its selector):
 //
 //   heap/binary_heap.hpp   binary_heap         bottom-up sift-down
-//                          binary_heap_classic top-down A/B reference
 //   heap/dary_heap.hpp     dary_heap<Arity=4>  cache-aware flat d-ary
-//   heap/pairing_heap.hpp  pairing_heap        O(1) push/meld, 2-pass pop
-//   heap/skiplist.hpp      seq_skiplist        sequential skiplist
+//                                              (the queues' default)
 //
 // Like core/pq_handle.hpp, C++17 forces the detection idiom:
 // `is_heap_substrate<S>` for SFINAE, `PCQ_ASSERT_HEAP_CONCEPT(S)` for

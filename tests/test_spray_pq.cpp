@@ -118,6 +118,44 @@ int main() {
     CHECK(queue.allocated_nodes() < total / 4);
   }
 
+  // Reclamation under mid-list churn on a deep list: a prefilled list
+  // keeps sprays landing among tall towers, so inserts detach claimed
+  // runs mid-list while other threads descend through them. This is the
+  // shape that made the EBR path free nodes still reachable through
+  // stale upper-level pointers (use-after-free under ASan, hangs in
+  // plain builds). Every element must still be accounted for.
+  {
+    const std::size_t threads = 4, prefill = 1u << 14, pairs = 1u << 14;
+    sprayq queue(threads);
+    std::vector<std::uint64_t> popped(threads, 0);
+    {
+      std::vector<std::thread> pool;
+      for (std::size_t t = 0; t < threads; ++t) {
+        pool.emplace_back([&, t] {
+          auto handle = queue.get_handle(t);
+          pcq::xoshiro256ss rng(pcq::derive_seed(0xd6u, t));
+          for (std::size_t i = 0; i < prefill / threads; ++i) {
+            handle.push(rng() >> 1, 0);
+          }
+          for (std::size_t i = 0; i < pairs; ++i) {
+            handle.push(rng() >> 1, 0);
+            std::uint64_t k = 0, v = 0;
+            if (handle.try_pop(k, v)) ++popped[t];
+          }
+        });
+      }
+      for (auto& t : pool) t.join();
+    }
+    std::size_t total_popped = 0;
+    for (const std::uint64_t p : popped) total_popped += p;
+    CHECK(queue.size() == prefill + threads * pairs - total_popped);
+    auto drain = queue.get_handle(threads);
+    std::uint64_t k = 0, v = 0;
+    while (drain.try_pop(k, v)) ++total_popped;
+    CHECK(total_popped == prefill + threads * pairs);
+    CHECK(queue.size() == 0);
+  }
+
   // Shared harness: conservation and no-lost-wakeups under concurrency;
   // the 1-thread build drains exactly sorted (pure cleaner pops) — through
   // both reclamation policies.
