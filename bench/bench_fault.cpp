@@ -1,6 +1,7 @@
 // FAULT — robustness vs fault intensity for queue-level vs
-// scheduler-level choice (service/fault.hpp through the virtual-time
-// fault runner, plus a realtime smoke pass for the threaded path).
+// scheduler-level choice (service/fault.hpp's plans and policies
+// through service/server.hpp's virtual-time runner, plus a realtime
+// smoke pass for the threaded path).
 //
 // The question: does the MultiQueue's latency/deadline advantage
 // survive a misbehaving world? Each intensity level perturbs the SAME
@@ -12,12 +13,12 @@
 // admission shedding, bounded crash retry with backoff, and stall
 // failover.
 //
-// The measured object is run_service_virtual_faults: DETERMINISTIC
-// virtual time, so every number in the artifact is byte-stable for the
+// The measured object is run_service_virtual: DETERMINISTIC virtual
+// time, so every number in the artifact is byte-stable for the
 // committed (config, seed) and the CI gate compares reproducible
-// fractions, not wall-clock noise. A short run_service_realtime_faults
-// pass at the end exercises the threaded supervisor/recovery machinery
-// (the TSan target) under the same conservation checks.
+// fractions, not wall-clock noise. A short run_service_realtime pass
+// at the end exercises the threaded supervisor/recovery machinery (the
+// TSan target) under the same conservation checks.
 //
 // HARD INVARIANT (this binary exits nonzero on any violation):
 //
@@ -143,7 +144,7 @@ cell measure(const std::vector<request>& trace, Dispatcher& dispatcher,
              std::size_t workers, const fault_plan& plan,
              const degrade_config& degrade, const char* where) {
   const service_result result =
-      run_service_virtual_faults(trace, dispatcher, workers, plan, degrade);
+      run_service_virtual(trace, dispatcher, workers, plan, degrade);
   enforce_invariants(where, trace, result, plan);
   const latency_report report = summarize(result);
   cell c;
@@ -280,7 +281,7 @@ int main() {
     degrade.failover_timeout = 0.25 * fcfg.stall_duration_frac * span;
     auto mq = make_mq_dispatcher(rt_workers);
     const service_result rt =
-        run_service_realtime_faults(trace, mq, rt_workers, plan, degrade);
+        run_service_realtime(trace, mq, rt_workers, plan, degrade);
     if (rt.stalled) {
       std::fprintf(stderr,
                    "FAULT VIOLATION [realtime smoke]: watchdog fired\n");

@@ -16,23 +16,29 @@
 //   void seal();                     // after the LAST dispatch; publishes
 //                                    // anything the dispatch side still
 //                                    // buffers (k-LSM local blocks)
-//   std::size_t backlog() const;     // approximate queued count
+//
+// and two OPTIONAL members the runners detect (has_backlog /
+// has_reclaim in service/server.hpp):
+//
+//   std::size_t backlog() const;     // approximate queued count; read
+//                                    // only by armed admission control,
+//                                    // which refuses a dispatcher
+//                                    // without it
 //   std::size_t reclaim(std::size_t worker,
 //                       std::vector<std::uint64_t>& out);
 //                                    // drain requests only worker w could
 //                                    // have served (its DEAD-worker
-//                                    // backlog) into out; a shared queue
-//                                    // has none and returns 0. Called by
-//                                    // the fault runners' recovery agent
-//                                    // once worker w is crashed — w no
-//                                    // longer fetches, so this cannot
-//                                    // race the fetch(w, ...) owner.
+//                                    // backlog) into out; absent, the
+//                                    // dispatcher strands nothing
 //
 // Threading contract: dispatch() is called by exactly one arrival
 // thread; fetch(w, ...) only by worker w; seal() by the arrival thread
 // after its last dispatch() (it must not race dispatch, it MAY race
-// fetches). The virtual-time runner calls everything from one thread,
-// which trivially satisfies this.
+// fetches). reclaim(w) comes from the realtime runner's supervisor as
+// soon as worker w's crash tick passes, while w may still be inside a
+// fetch(w, ...) it began before noticing, and while dispatch() runs:
+// it must be safe against both. The virtual-time runner calls
+// everything from one thread, which trivially satisfies this.
 //
 // Implementations:
 //   pq_dispatcher<Queue> — one shared queue modeling the pq handle
@@ -48,16 +54,6 @@
 // A false fetch is relaxed emptiness, exactly like the underlying
 // queues: "looked empty", never "is empty". Runners terminate on
 // completion counts, not on failed fetches.
-//
-// The fault runners (service/fault.hpp) layer graceful degradation
-// AROUND this concept without changing it: admission control decides
-// before dispatch() whether to shed (using backlog() as the load
-// signal), and crash-retry / stall-failover re-dispatches travel
-// through a runner-owned recovery queue that workers drain before
-// calling fetch() — never through dispatch(), which stays the single
-// arrival thread's (and may already be sealed when a late retry
-// fires). Every dispatcher therefore gets identical recovery
-// semantics, and the fault benches compare policies, not retry paths.
 
 #pragma once
 
@@ -84,7 +80,8 @@ namespace service {
 /// dispatch side's, held in an optional so seal() can destroy it —
 /// destruction is the concept's flush point, which publishes anything a
 /// buffering queue (k-LSM local component, MultiQueue pop buffer) still
-/// holds on the dispatch side.
+/// holds on the dispatch side. No reclaim(): any live worker can pop a
+/// dead worker's work, so a shared queue strands nothing.
 template <typename Queue>
 class pq_dispatcher {
   static_assert(is_pq<Queue>::value,
@@ -114,12 +111,6 @@ class pq_dispatcher {
   void seal() { dispatch_handle_.reset(); }
 
   std::size_t backlog() const { return queue_->size(); }
-
-  // Shared queue: any live worker can pop a dead worker's work, so
-  // there is no stranded backlog to reclaim.
-  std::size_t reclaim(std::size_t, std::vector<std::uint64_t>&) {
-    return 0;
-  }
 
   priority_policy policy() const { return policy_; }
 
@@ -218,10 +209,10 @@ class po2_dispatcher {
   void seal() {}  // nothing buffered on the dispatch side
 
   // Per-worker FIFOs DO strand a dead worker's backlog: nobody else
-  // ever pops queue w. Reclaim drains it so the fault runners'
-  // recovery queue can re-route the orphans to live workers — the
-  // health-check rerouting a real load balancer does when a backend
-  // dies. Thread-safe against concurrent dispatch() (same lock).
+  // ever pops queue w. Reclaim drains it so the runners' recovery
+  // queue can re-route the orphans to live workers — the health-check
+  // rerouting a real load balancer does when a backend dies. Safe
+  // against a concurrent dispatch() and fetch(w) (the queue's lock).
   std::size_t reclaim(std::size_t worker, std::vector<std::uint64_t>& out) {
     worker_queue& q = queues_[worker];
     q.lock.lock();

@@ -1,6 +1,7 @@
-// Fault-injection + graceful-degradation tests (service/fault.hpp).
+// Fault-injection + graceful-degradation tests: service/fault.hpp's
+// plans and policies through service/server.hpp's runners.
 //
-// The virtual-time fault runner is deterministic by construction, so
+// The virtual-time runner is deterministic by construction, so
 // the interesting protocols are pinned EXACTLY on hand-built traces:
 // stall failover without double-counting (both races — the failover
 // copy winning and the stalled original winning), crash abandonment
@@ -8,9 +9,9 @@
 // deadline-aware admission shedding. Seeded runs then check the hard
 // conservation invariant (completed + shed + lost == dispatched) under
 // EVERY policy combination × dispatcher, byte-stability for a fixed
-// (config, seed), and equivalence with the fault-free runner under an
-// empty plan. A final real-threads section covers the supervisor path
-// (retry timers, failover scan, watchdog interplay) under TSan.
+// (config, seed), and golden schedules for the healthy run. A final
+// real-threads section covers the supervisor path (retry timers,
+// failover scan, watchdog interplay) under TSan.
 
 #include "service/fault.hpp"
 
@@ -66,6 +67,26 @@ std::vector<bool> check_accounting(const service_result& result,
   return seen;
 }
 
+// FNV-1a (64-bit, little-endian words) over completion_order, then
+// each worker's seq list, each sequence prefixed by its length: an
+// integer fingerprint of a virtual-time schedule.
+std::uint64_t schedule_fingerprint(const service_result& result) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  mix(result.completion_order.size());
+  for (const std::uint64_t seq : result.completion_order) mix(seq);
+  for (const auto& shard : result.worker_logs) {
+    mix(shard.size());
+    for (const request_record& r : shard) mix(r.seq);
+  }
+  return h;
+}
+
 }  // namespace
 
 int main() {
@@ -90,7 +111,7 @@ int main() {
 
     auto fcfs = make_fcfs_dispatcher(2);
     const service_result result =
-        run_service_virtual_faults(trace, fcfs, 2, plan, degrade);
+        run_service_virtual(trace, fcfs, 2, plan, degrade);
     check_accounting(result, trace, plan);
     CHECK(result.completed == 2);
     CHECK(result.failovers == 1);
@@ -122,7 +143,7 @@ int main() {
 
     auto fcfs = make_fcfs_dispatcher(2);
     const service_result result =
-        run_service_virtual_faults(trace, fcfs, 2, plan, degrade);
+        run_service_virtual(trace, fcfs, 2, plan, degrade);
     check_accounting(result, trace, plan);
     CHECK(result.completed == 2);
     CHECK(result.failovers == 1);
@@ -153,7 +174,7 @@ int main() {
 
     auto fcfs = make_fcfs_dispatcher(2);
     const service_result result =
-        run_service_virtual_faults(trace, fcfs, 2, plan, degrade);
+        run_service_virtual(trace, fcfs, 2, plan, degrade);
     check_accounting(result, trace, plan);
     CHECK(result.completed == 2);
     CHECK(result.failovers == 0);
@@ -182,7 +203,7 @@ int main() {
     retrying.retry_backoff = 1.0;
     auto fcfs = make_fcfs_dispatcher(2);
     const service_result recovered =
-        run_service_virtual_faults(trace, fcfs, 2, plan, retrying);
+        run_service_virtual(trace, fcfs, 2, plan, retrying);
     check_accounting(recovered, trace, plan);
     CHECK(recovered.completed == 2);
     CHECK(recovered.lost == 0);
@@ -195,7 +216,7 @@ int main() {
     degrade_config no_retry;  // defaults: max_retries = 0
     auto fcfs2 = make_fcfs_dispatcher(2);
     const service_result dropped =
-        run_service_virtual_faults(trace, fcfs2, 2, plan, no_retry);
+        run_service_virtual(trace, fcfs2, 2, plan, no_retry);
     const std::vector<bool> seen = check_accounting(dropped, trace, plan);
     CHECK(dropped.completed == 1);
     CHECK(dropped.lost == 1);
@@ -224,7 +245,7 @@ int main() {
 
     auto fcfs = make_fcfs_dispatcher(1);
     const service_result result =
-        run_service_virtual_faults(trace, fcfs, 1, plan, degrade);
+        run_service_virtual(trace, fcfs, 1, plan, degrade);
     const std::vector<bool> seen = check_accounting(result, trace, plan);
     CHECK(result.completed == 2 && result.shed == 1 && result.lost == 0);
     CHECK(seen[0] && seen[1] && !seen[2]);
@@ -236,8 +257,11 @@ int main() {
   }
 
   // ------------------------------------------------------------------
-  // An EMPTY plan with fail-hard defaults must reproduce the fault-free
-  // virtual runner exactly — same schedule, same doubles.
+  // Golden healthy schedules. With no plan and fail-hard defaults the
+  // runner is the plain server; these constants are the schedules the
+  // dedicated fault-free runner produced on this trace, one per
+  // dispatcher, recorded before that runner was folded into this one.
+  // An explicit all-ok plan must change nothing either.
   {
     workload_config cfg;
     cfg.num_requests = 400;
@@ -245,20 +269,27 @@ int main() {
     cfg.arrival_rate = arrival_rate_for_load(0.9, 3, cfg.service);
     cfg.seed = 7070;
     const std::vector<request> trace = make_open_loop_trace(cfg);
+    const auto pin = [&](const service_result& result, std::uint64_t golden) {
+      CHECK(result.completed == trace.size());
+      CHECK(result.shed == 0 && result.lost == 0 && result.retries == 0 &&
+            result.failovers == 0 && result.reclaimed == 0);
+      CHECK(schedule_fingerprint(result) == golden);
+    };
+
+    auto mq = make_mq_dispatcher(3);
+    pin(run_service_virtual(trace, mq, 3), 0x12d2875e4bb5f6e4ull);
+    auto fcfs = make_fcfs_dispatcher(3);
+    pin(run_service_virtual(trace, fcfs, 3), 0xb777953cc30c5474ull);
+    auto edf = make_edf_dispatcher(3);
+    pin(run_service_virtual(trace, edf, 3), 0xbf91c7ee210ba324ull);
+    po2_dispatcher po2(3, 1717);
+    pin(run_service_virtual(trace, po2, 3), 0x8cef4b5b5b3603f0ull);
+
     fault_plan healthy;
     healthy.workers.resize(3);
-
-    auto base_mq = make_mq_dispatcher(3);
-    const service_result base = run_service_virtual(trace, base_mq, 3);
-    auto fault_mq = make_mq_dispatcher(3);
-    const service_result faulty = run_service_virtual_faults(
-        trace, fault_mq, 3, healthy, degrade_config{});
-    CHECK(base.completion_order == faulty.completion_order);
-    CHECK(base.completed == faulty.completed);
-    CHECK(base.missed == faulty.missed);
-    CHECK(summarize(base).sojourn.sorted_samples() ==
-          summarize(faulty).sojourn.sorted_samples());
-    CHECK(faulty.shed == 0 && faulty.lost == 0 && faulty.failovers == 0);
+    auto mq_healthy = make_mq_dispatcher(3);
+    pin(run_service_virtual(trace, mq_healthy, 3, healthy, degrade_config{}),
+        0x12d2875e4bb5f6e4ull);
   }
 
   // ------------------------------------------------------------------
@@ -295,9 +326,9 @@ int main() {
     auto mq_a = make_mq_dispatcher(4);
     auto mq_b = make_mq_dispatcher(4);
     const service_result ra =
-        run_service_virtual_faults(trace, mq_a, 4, plan, full);
+        run_service_virtual(trace, mq_a, 4, plan, full);
     const service_result rb =
-        run_service_virtual_faults(trace, mq_b, 4, plan, full);
+        run_service_virtual(trace, mq_b, 4, plan, full);
     CHECK(ra.completion_order == rb.completion_order);
     CHECK(ra.completed == rb.completed && ra.shed == rb.shed &&
           ra.lost == rb.lost && ra.missed == rb.missed &&
@@ -329,19 +360,19 @@ int main() {
 
           auto mq = make_mq_dispatcher(4);
           check_accounting(
-              run_service_virtual_faults(trace, mq, 4, plan, d), trace,
+              run_service_virtual(trace, mq, 4, plan, d), trace,
               plan);
           auto fcfs = make_fcfs_dispatcher(4);
           check_accounting(
-              run_service_virtual_faults(trace, fcfs, 4, plan, d), trace,
+              run_service_virtual(trace, fcfs, 4, plan, d), trace,
               plan);
           auto edf = make_edf_dispatcher(4);
           check_accounting(
-              run_service_virtual_faults(trace, edf, 4, plan, d), trace,
+              run_service_virtual(trace, edf, 4, plan, d), trace,
               plan);
           po2_dispatcher po2(4, 1717);
           check_accounting(
-              run_service_virtual_faults(trace, po2, 4, plan, d), trace,
+              run_service_virtual(trace, po2, 4, plan, d), trace,
               plan);
         }
       }
@@ -370,7 +401,7 @@ int main() {
 
     po2_dispatcher po2(2, 4242);
     const service_result rp =
-        run_service_virtual_faults(trace, po2, 2, plan, no_retry);
+        run_service_virtual(trace, po2, 2, plan, no_retry);
     check_accounting(rp, trace, plan);
     CHECK(rp.lost == 1);  // only the in-flight victim
     CHECK(rp.completed == 49);
@@ -379,7 +410,7 @@ int main() {
 
     auto fcfs = make_fcfs_dispatcher(2);
     const service_result rf =
-        run_service_virtual_faults(trace, fcfs, 2, plan, no_retry);
+        run_service_virtual(trace, fcfs, 2, plan, no_retry);
     check_accounting(rf, trace, plan);
     CHECK(rf.lost == 1 && rf.completed == 49);
     CHECK(rf.reclaimed == 0);  // shared queue: nothing to strand
@@ -444,7 +475,7 @@ int main() {
     degrade.failover_timeout = 5e-3;  // well inside the 50 ms window
 
     auto mq = make_mq_dispatcher(2);
-    const service_result result = run_service_realtime_faults(
+    const service_result result = run_service_realtime(
         trace, mq, 2, plan, degrade, /*stall_timeout_seconds=*/5.0);
     CHECK(!result.stalled);  // injected stall must not trip the watchdog
     check_accounting(result, trace, plan);
@@ -457,7 +488,7 @@ int main() {
     crashy.workers[1].kind = fault_kind::crash;
     crashy.workers[1].crash_time = 0.4 * span;
     auto po2 = po2_dispatcher(2, 99);
-    const service_result crashed = run_service_realtime_faults(
+    const service_result crashed = run_service_realtime(
         trace, po2, 2, crashy, degrade, /*stall_timeout_seconds=*/5.0);
     CHECK(!crashed.stalled);
     check_accounting(crashed, trace, crashy);

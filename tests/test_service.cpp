@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <deque>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "core/baselines/lj_skiplist_pq.hpp"
@@ -238,6 +239,10 @@ int main() {
         CHECK(r.completion - r.start >= r.service);
       }
       CHECK(summarize(*result).sojourn.count() == rt_trace.size());
+      // No plan, no policy: the runner's fault machinery stays idle.
+      CHECK(!result->stalled);
+      CHECK(result->shed == 0 && result->lost == 0 && result->retries == 0 &&
+            result->failovers == 0 && result->reclaimed == 0);
     }
   }
 
@@ -288,10 +293,22 @@ int main() {
     cfg.seed = 4242;
     const std::vector<request> lossy_trace = make_open_loop_trace(cfg);
 
+    // The runner detects the optional members: a shared-queue
+    // dispatcher strands nothing, per-worker FIFOs need reclaim().
+    static_assert(has_reclaim<po2_dispatcher>::value, "po2 reclaims");
+    static_assert(
+        !has_reclaim<
+            pq_dispatcher<pcq::multi_queue<std::uint64_t, std::uint64_t>>>::
+            value,
+        "a shared queue has nothing to reclaim");
+    static_assert(has_backlog<lossy_dispatcher>::value &&
+                      !has_reclaim<lossy_dispatcher>::value,
+                  "lossy_dispatcher: backlog() only");
+
     lossy_dispatcher lossy;
     pcq::wall_timer watch;
     const service_result result =
-        run_service_realtime(lossy_trace, lossy, 2,
+        run_service_realtime(lossy_trace, lossy, 2, {}, {},
                              /*stall_timeout_seconds=*/0.2);
     CHECK(watch.elapsed_seconds() < 5.0);  // bounded, not a hang
     CHECK(result.stalled);
@@ -312,9 +329,40 @@ int main() {
     const std::vector<request> ok_trace = make_open_loop_trace(cfg);
     auto mq = make_mq_dispatcher(2);
     const service_result result =
-        run_service_realtime(ok_trace, mq, 2, /*stall_timeout_seconds=*/0.5);
+        run_service_realtime(ok_trace, mq, 2, {}, {},
+                             /*stall_timeout_seconds=*/0.5);
     CHECK(!result.stalled);
     CHECK(result.completed == ok_trace.size());
+  }
+
+  // Armed admission control reads backlog(): a dispatcher without one
+  // is refused at entry by both runners, never shed against a made-up 0.
+  {
+    struct no_backlog_dispatcher {
+      void dispatch(const request&) {}
+      bool fetch(std::size_t, std::uint64_t&) { return false; }
+      void seal() {}
+    };
+    static_assert(!has_backlog<no_backlog_dispatcher>::value,
+                  "dispatch/fetch/seal only");
+    degrade_config armed;
+    armed.admission_control = true;
+    armed.est_service = 1.0;
+    const std::vector<request> trace = {{0.0, 1.0, 2.0, 0}};
+    no_backlog_dispatcher d;
+    bool virtual_threw = false;
+    bool realtime_threw = false;
+    try {
+      run_service_virtual(trace, d, 1, {}, armed);
+    } catch (const std::invalid_argument&) {
+      virtual_threw = true;
+    }
+    try {
+      run_service_realtime(trace, d, 1, {}, armed);
+    } catch (const std::invalid_argument&) {
+      realtime_threw = true;
+    }
+    CHECK(virtual_threw && realtime_threw);
   }
 
   std::printf("test_service OK\n");
