@@ -78,14 +78,6 @@ struct cell {
   double reclaimed = 0.0;
 };
 
-std::size_t env_count(const char* name, std::size_t fallback) {
-  if (const char* value = std::getenv(name)) {
-    const long parsed = std::atol(value);
-    if (parsed > 0) return static_cast<std::size_t>(parsed);
-  }
-  return fallback;
-}
-
 /// Conservation + accounting checks shared by every cell; exits
 /// nonzero (the bench IS the gate) on any violation.
 void enforce_invariants(const char* where, const std::vector<request>& trace,

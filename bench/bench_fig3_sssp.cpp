@@ -80,11 +80,8 @@ int main() {
     graph = read_dimacs(path);
   } else {
     road_network_params params;
-    auto side = scaled<std::uint32_t>(256, 1024);
-    if (const char* env_side = std::getenv("PCQ_GRID_SIDE");
-        env_side != nullptr && std::atol(env_side) > 0) {
-      side = static_cast<std::uint32_t>(std::atol(env_side));
-    }
+    const auto side = static_cast<std::uint32_t>(
+        env_count("PCQ_GRID_SIDE", scaled<std::uint32_t>(256, 1024)));
     params.width = side;
     params.height = side;
     graph = make_road_network(params);

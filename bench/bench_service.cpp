@@ -68,20 +68,19 @@ struct cell {
   double mean_sojourn_ms = 0.0;
 };
 
-std::size_t env_count(const char* name, std::size_t fallback) {
-  if (const char* value = std::getenv(name)) {
-    const long parsed = std::atol(value);
-    if (parsed > 0) return static_cast<std::size_t>(parsed);
-  }
-  return fallback;
-}
-
+/// PCQ_SERVICE_MAX_RHO trims the load grid; like env_count, a set value
+/// that is not a positive number exits 2 instead of running the full grid.
 double env_rho_cap() {
-  if (const char* value = std::getenv("PCQ_SERVICE_MAX_RHO")) {
-    const double parsed = std::atof(value);
-    if (parsed > 0.0) return parsed;
+  const char* value = std::getenv("PCQ_SERVICE_MAX_RHO");
+  if (value == nullptr || value[0] == '\0') return 1.0;
+  char* end = nullptr;
+  const double parsed = std::strtod(value, &end);
+  if (*end != '\0' || !(parsed > 0.0)) {
+    std::fprintf(stderr, "PCQ_SERVICE_MAX_RHO=%s is not a positive number\n",
+                 value);
+    std::exit(2);
   }
-  return 1.0;
+  return parsed;
 }
 
 template <typename Dispatcher>

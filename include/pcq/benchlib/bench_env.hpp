@@ -5,6 +5,8 @@
 
 #pragma once
 
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <cstddef>
 #include <string>
@@ -43,15 +45,29 @@ inline std::string json_artifact_path(const char* filename) {
   return filename;
 }
 
+/// A positive count from the environment, or `fallback` when `name` is
+/// unset or empty. Any other value (garbage, zero, a sign, trailing
+/// characters, overflow) prints the variable and exits 2, so a mistyped
+/// scale fails loudly instead of running at the default.
+inline std::size_t env_count(const char* name, std::size_t fallback) {
+  const char* value = std::getenv(name);
+  if (value == nullptr || value[0] == '\0') return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long parsed = std::strtoull(value, &end, 10);
+  if (value[0] < '0' || value[0] > '9' || *end != '\0' || errno == ERANGE ||
+      parsed == 0) {
+    std::fprintf(stderr, "%s=%s is not a positive integer\n", name, value);
+    std::exit(2);
+  }
+  return static_cast<std::size_t>(parsed);
+}
+
 /// Largest thread count benches sweep to.
 inline std::size_t max_threads() {
   static const std::size_t cached = [] {
-    if (const char* value = std::getenv("PCQ_MAX_THREADS")) {
-      const long parsed = std::atol(value);
-      if (parsed > 0) return static_cast<std::size_t>(parsed);
-    }
     const unsigned hw = std::thread::hardware_concurrency();
-    return static_cast<std::size_t>(hw > 0 ? hw : 1);
+    return env_count("PCQ_MAX_THREADS", hw > 0 ? hw : 1);
   }();
   return cached;
 }

@@ -267,15 +267,18 @@ class concurrent_skiplist {
   /// Quiescent-only accuracy.
   std::size_t limbo_nodes() const { return reclaim_.limbo_quiescent(); }
 
-  void insert(reclaim_handle& rh, xoshiro256ss& rng, const Key& key,
+  void insert(reclaim_handle& rh, xoshiro256ss& rng, Key key,
               const Value& value) {
     auto epoch_guard = reclaim_type::pin(rh);
     (void)epoch_guard;
     insert_pinned(rh, rng, key, value);
   }
 
-  /// insert body; caller holds a pin() guard for rh.
-  void insert_pinned(reclaim_handle& rh, xoshiro256ss& rng, const Key& key,
+  /// insert body; caller holds a pin() guard for rh. The key is taken by
+  /// value: the upper-level re-search reads it after the level-0 link has
+  /// made the node poppable, when the caller's object may already be gone
+  /// (the executor's job, run and deleted by another worker).
+  void insert_pinned(reclaim_handle& rh, xoshiro256ss& rng, Key key,
                      const Value& value) {
     const int height = sample_height(rng());
     node* n = make_node(height, key, value);

@@ -24,6 +24,8 @@
 //     queue completely.
 //   - One handle per thread. Handles are not thread-safe; the queue is
 //     safe under any number of concurrently operating handles.
+//   - A push reads its arguments only until the element can be popped:
+//     the caller's key may be freed by the popping thread right after.
 //
 // Batch semantics:
 //

@@ -52,7 +52,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <new>
+#include <memory>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -77,27 +77,12 @@ class steal_deque_pool {
 
   explicit steal_deque_pool(std::size_t num_threads,
                             std::uint64_t seed = 0x57ea1deccull)
-      : num_deques_(num_threads == 0 ? 1 : num_threads), seed_(seed) {
-    deques_ = static_cast<deque*>(
-        ::operator new[](num_deques_ * sizeof(deque)));
-    for (std::size_t i = 0; i < num_deques_; ++i) new (&deques_[i]) deque();
-  }
+      : num_deques_(num_threads == 0 ? 1 : num_threads),
+        seed_(seed),
+        deques_(new deque[num_deques_]) {}
 
   steal_deque_pool(const steal_deque_pool&) = delete;
   steal_deque_pool& operator=(const steal_deque_pool&) = delete;
-
-  ~steal_deque_pool() {
-    for (std::size_t i = 0; i < num_deques_; ++i) {
-      buffer* b = deques_[i].buf.load(std::memory_order_relaxed);
-      while (b != nullptr) {
-        buffer* prev = b->prev;
-        delete b;
-        b = prev;
-      }
-      deques_[i].~deque();
-    }
-    ::operator delete[](deques_);
-  }
 
   class handle {
    public:
@@ -212,8 +197,18 @@ class steal_deque_pool {
     buffer* prev;  // retired-buffer chain, freed at pool destruction
   };
 
+  // new deque[n] goes through C++17 aligned new, so each deque really
+  // starts a cache line and neighbours' top/bottom never share one.
   struct alignas(64) deque {
     deque() : top(0), bottom(0), buf(new buffer(kInitialCapacity)) {}
+    ~deque() {
+      buffer* b = buf.load(std::memory_order_relaxed);
+      while (b != nullptr) {
+        buffer* prev = b->prev;
+        delete b;
+        b = prev;
+      }
+    }
     std::atomic<std::int64_t> top;
     std::atomic<std::int64_t> bottom;
     std::atomic<buffer*> buf;
@@ -297,7 +292,7 @@ class steal_deque_pool {
 
   const std::size_t num_deques_;
   const std::uint64_t seed_;
-  deque* deques_;
+  const std::unique_ptr<deque[]> deques_;
 };
 
 }  // namespace exec
