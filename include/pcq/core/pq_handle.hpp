@@ -41,14 +41,16 @@
 //
 // Emptiness is relaxed everywhere: a false try_pop means "looked empty
 // during the attempt", not "was empty at a linearization point". Callers
-// that need a termination guarantee combine it with their own in-flight
-// accounting (see graph/parallel_sssp.hpp) or quiesce first.
+// that need a termination guarantee pair a failed pop with the
+// per-worker termination detector of util/in_flight.hpp (as
+// graph/parallel_sssp.hpp, exec/executor.hpp and sim/graph_process.hpp
+// do) or quiesce first.
 //
 // Why there is no `try_pop_any` escape hatch ("pop from anywhere,
 // ignoring priority — just prove non-emptiness"): every consumer that
 // looked like it needed one turns out to be covered by the two
-// guarantees above. The executor (exec/executor.hpp) and parallel_sssp
-// terminate on failed-pop + in-flight accounting, so a false negative
+// guarantees above. The executor, parallel_sssp and the graph process
+// terminate on failed-pop + a quiescent detector, so a false negative
 // costs one backoff round, never liveness; drains terminate because
 // flush-on-destruction plus relaxed emptiness make a fresh handle able
 // to empty any quiescent queue completely. A try_pop_any would also be

@@ -93,7 +93,12 @@ dag_exec_result run_dag_executor(const graph::csr_graph& dag,
 
   dag_exec_result result;
   result.outputs.assign(n, 0);
-  std::atomic<std::uint64_t> settled{0};
+  // Bodies that ran, counted per worker in padded lanes (no shared
+  // write per task) and summed after run() joined the workers.
+  struct alignas(64) settled_lane {
+    std::uint64_t n = 0;
+  };
+  std::vector<settled_lane> settled(num_threads > 0 ? num_threads : 1);
   std::atomic<bool> topo_ok{true};
 
   // Task bodies are built lazily per node; the recursive factory and
@@ -112,7 +117,7 @@ dag_exec_result run_dag_executor(const graph::csr_graph& dag,
       // decrement + queue push publishes them all to this body.
       result.outputs[v] =
           task_kernel(input[v].load(std::memory_order_relaxed) + v, rounds);
-      settled.fetch_add(1, std::memory_order_relaxed);
+      ++settled[ctx.worker_id()].n;
       for (const graph::csr_graph::arc& a : dag.out(v)) {
         input[a.head].fetch_add(result.outputs[v],
                                 std::memory_order_relaxed);
@@ -130,7 +135,7 @@ dag_exec_result run_dag_executor(const graph::csr_graph& dag,
       ex.submit(sim::task_priority(depth[v], v, n), make_task(v));
   result.stats = ex.run(num_threads);
 
-  result.settled = settled.load(std::memory_order_relaxed);
+  for (const settled_lane& l : settled) result.settled += l.n;
   result.topo_ok = topo_ok.load(std::memory_order_relaxed);
   return result;
 }

@@ -25,12 +25,15 @@
 // dependency past the queue. Chained awaits work: a continuation may
 // spawn more children and call `then` again.
 //
-// Termination reuses parallel_sssp's in-flight protocol verbatim: a
-// shared counter is incremented BEFORE an entry becomes poppable and
-// decremented only after its body (and any spawns it made) are done,
-// so `failed pop && in_flight == 0` (acquire, paired with the release
-// decrement) proves no task exists or can appear — exactly the
-// guarantee the queues' relaxed emptiness cannot give on its own.
+// Termination uses the per-worker lanes of util/in_flight.hpp, one
+// detector per run(): roots are counted on lane 0 before the workers
+// start, every enqueue (spawn, detached spawn, continuation hand-off)
+// is counted on the pushing worker's lane BEFORE the entry becomes
+// poppable, and a popped entry is marked done only after its body (and
+// any spawns or hand-offs it caused) returned. So `failed pop &&
+// quiescent()` proves no task exists or can appear (the proof is in
+// the header) — exactly the guarantee the queues' relaxed emptiness
+// cannot give on its own.
 //
 // Why no `try_pop_any` escape hatch in the pq concept: see the note in
 // core/pq_handle.hpp — the executor never needs "pop from anywhere,
@@ -49,6 +52,7 @@
 #include <vector>
 
 #include "core/pq_handle.hpp"
+#include "util/in_flight.hpp"
 #include "util/spinlock.hpp"
 #include "util/timer.hpp"
 
@@ -143,9 +147,9 @@ class executor {
     const std::size_t threads = num_threads == 0 ? 1 : num_threads;
     wall_timer timer;
 
-    // In-flight protocol: count BEFORE the entries become poppable.
-    in_flight_.store(static_cast<std::uint64_t>(roots_.size()),
-                     std::memory_order_relaxed);
+    // Count the roots on lane 0 BEFORE they become poppable.
+    in_flight detector(threads);
+    detector.pushed(0, roots_.size());
     std::uint64_t seeded = 0;
     {
       // Scoped seeder handle on id 0; destroyed (and flushed) before
@@ -163,21 +167,21 @@ class executor {
 
     auto worker = [&](std::size_t tid) {
       auto handle = queue_.get_handle(tid);
-      worker_context ctx(this, &handle, tid);
+      worker_context ctx(&handle, &detector, tid);
       backoff bo;
       for (;;) {
         std::uint64_t key = 0;
         std::uint64_t value = 0;
         if (!handle.try_pop(key, value)) {
           // Relaxed emptiness alone cannot terminate: pair the failed
-          // pop with the acquire in-flight check (cf. parallel_sssp).
-          if (in_flight_.load(std::memory_order_acquire) == 0) break;
+          // pop with the quiescence check (cf. parallel_sssp).
+          if (detector.quiescent()) break;
           bo.pause();
           continue;
         }
         bo.reset();
         ctx.run_job(from_value(value));
-        in_flight_.fetch_sub(1, std::memory_order_release);
+        detector.done(tid);
       }
       executed_by[tid] = ctx.executed_;
       spawned_by[tid] = ctx.spawned_;
@@ -205,8 +209,9 @@ class executor {
  private:
   class worker_context final : public job_context {
    public:
-    worker_context(executor* ex, pq_handle_t<Queue>* handle, std::size_t wid)
-        : ex_(ex), handle_(handle), wid_(wid) {}
+    worker_context(pq_handle_t<Queue>* handle, in_flight* detector,
+                   std::size_t wid)
+        : handle_(handle), detector_(detector), wid_(wid) {}
 
     void spawn(std::uint64_t priority, job_fn fn) override {
       detail::job* child = new detail::job;
@@ -246,7 +251,7 @@ class executor {
     void enqueue(detail::job* j) {
       // Count before poppable; the push's internal release publishes
       // the job's fields to whichever worker pops it.
-      ex_->in_flight_.fetch_add(1, std::memory_order_relaxed);
+      detector_->pushed(wid_);
       handle_->push(j->priority, to_value(j));
       ++spawned_;
     }
@@ -275,8 +280,8 @@ class executor {
     }
 
     friend class executor;
-    executor* ex_;
     pq_handle_t<Queue>* handle_;
+    in_flight* detector_;
     std::size_t wid_;
     detail::job* current_ = nullptr;
     std::uint64_t executed_ = 0;
@@ -292,7 +297,6 @@ class executor {
 
   Queue& queue_;
   std::vector<detail::job*> roots_;
-  std::atomic<std::uint64_t> in_flight_{0};
 };
 
 }  // namespace exec

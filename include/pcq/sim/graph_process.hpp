@@ -19,12 +19,13 @@
 // bench_ext_graph_process compares these inversions across all five
 // queues on road-grid and random-DAG workloads.
 //
-// Termination reuses the graph layer's in-flight protocol (the rules in
-// docs/ARCHITECTURE.md): the counter is bumped BEFORE a task becomes
-// poppable (roots at seed time, each released successor before its
-// push), decremented only after its settle fully processed (successors
-// counted and pushed), and a worker that fails a pop terminates iff the
-// counter reads zero. On a DAG this drains completely: every task is
+// Termination uses the per-worker lanes of util/in_flight.hpp (proof in
+// its header, rules in docs/ARCHITECTURE.md): a task is counted on the
+// pushing worker's lane BEFORE it becomes poppable (roots on lane 0 at
+// seed time, each released successor before its push), marked done
+// only after its settle is fully processed (successors counted and
+// pushed), and a worker that fails a pop terminates iff the detector is
+// quiescent. On a DAG this drains completely: every task is
 // released exactly once (the unique fetch_sub that moves its dependency
 // count to zero) and settled exactly once (queue conservation).
 //
@@ -46,6 +47,7 @@
 #include "core/pq_handle.hpp"
 #include "core/rank_recorder.hpp"
 #include "graph/csr_graph.hpp"
+#include "util/in_flight.hpp"
 #include "util/spinlock.hpp"
 #include "util/timer.hpp"
 
@@ -132,22 +134,22 @@ graph_process_result run_graph_process(const graph::csr_graph& dag,
 
   rank_recorder recorder(threads);
   recorder.reserve(2 * n / threads + 16);
-  std::atomic<std::uint64_t> in_flight{0};
+  in_flight detector(threads);
   std::atomic<bool> topo_ok{true};
   std::vector<std::vector<std::pair<std::uint64_t, graph::csr_graph::node_id>>>
       orders(threads);
   std::vector<std::uint64_t> settled_by(threads, 0), released_by(threads, 0);
 
   {
-    // Roots (no dependencies) seed the queue; counted before they are
-    // poppable, per the in-flight rules. Scoped so buffering handles
-    // flush before workers start.
+    // Roots (no dependencies) seed the queue; counted on lane 0 before
+    // they are poppable. Scoped so buffering handles flush before
+    // workers start.
     auto seeder = queue.get_handle(0);
     std::uint64_t roots = 0;
     for (graph::csr_graph::node_id v = 0; v < n; ++v) {
       if (remaining[v].load(std::memory_order_relaxed) == 0) ++roots;
     }
-    in_flight.store(roots, std::memory_order_relaxed);
+    detector.pushed(0, roots);
     for (graph::csr_graph::node_id v = 0; v < n; ++v) {
       if (remaining[v].load(std::memory_order_relaxed) != 0) continue;
       const std::uint64_t key = task_priority(depth[v], v, n);
@@ -164,7 +166,7 @@ graph_process_result run_graph_process(const graph::csr_graph& dag,
       typename Queue::entry::second_type value{};
       std::uint64_t ts = 0;
       if (!handle.try_pop_timed(key, value, ts)) {
-        if (in_flight.load(std::memory_order_acquire) == 0) break;
+        if (detector.quiescent()) break;
         bo.pause();
         continue;
       }
@@ -182,8 +184,8 @@ graph_process_result run_graph_process(const graph::csr_graph& dag,
       }
       for (const graph::csr_graph::arc& a : dag.out(v)) {
         if (remaining[a.head].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          // Count before the push publishes the task (rule 2).
-          in_flight.fetch_add(1, std::memory_order_relaxed);
+          // Count before the push publishes the task.
+          detector.pushed(tid);
           const std::uint64_t succ_key =
               task_priority(depth[a.head], a.head, n);
           recorder.record(tid, event_kind::insert,
@@ -191,7 +193,7 @@ graph_process_result run_graph_process(const graph::csr_graph& dag,
           ++released_by[tid];
         }
       }
-      in_flight.fetch_sub(1, std::memory_order_release);
+      detector.done(tid);
     }
   };
 
