@@ -33,7 +33,8 @@
 //                          lock + n sifts + one publish.
 //   try_pop_batch(out, k): one candidate selection + one lock, up to k
 //                          pops, one publish. Elements come out in heap
-//                          (ascending) order.
+//                          (ascending) order. A non-empty pop buffer is
+//                          served first, on its own.
 //   pop buffer:            with mq_config::pop_batch = B > 1, try_pop
 //                          refills a per-handle buffer of up to B elements
 //                          from the chosen queue and serves from it. The
@@ -270,8 +271,17 @@ class multi_queue {
 
     /// Pops up to max_n elements from one chosen queue under one lock;
     /// returns how many were written to out (ascending key order). 0 means
-    /// the emptiness sweep found nothing (relaxed, like try_pop).
+    /// the emptiness sweep found nothing (relaxed, like try_pop). A
+    /// non-empty pop buffer (left by try_pop) is served first and alone,
+    /// so the chunk stays ascending and buffered elements never strand.
     std::size_t try_pop_batch(entry* out, std::size_t max_n) {
+      if (buffer_pos_ < buffer_.size()) {
+        const std::size_t got = std::min(max_n, buffer_.size() - buffer_pos_);
+        std::copy_n(buffer_.begin() + buffer_pos_, got, out);
+        buffer_pos_ += got;
+        queue_->count_.add(stripe_, -static_cast<std::int64_t>(got));
+        return got;
+      }
       return queue_->pop_batch_impl(*this, out, max_n, /*counted=*/true);
     }
 

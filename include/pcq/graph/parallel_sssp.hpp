@@ -3,32 +3,46 @@
 // (parallel Dijkstra on a road network), written once and instantiated
 // for all five queues.
 //
-// Algorithm (label-correcting Dijkstra):
+// Algorithm (label-correcting Dijkstra, relaxed in chunks):
 //
 //   dist[] is an array of atomic 64-bit tentative distances. A worker
-//   pops (d, v); if dist[v] < d the entry is STALE — some thread already
-//   improved v past the priority this entry was queued at — and is
-//   dropped without scanning v's arcs (the stale-entry elision; under a
-//   relaxed queue this also absorbs out-of-order pops, which merely make
-//   an entry stale more often). Otherwise the worker relaxes v's arcs
-//   with a CAS-min loop per head node and pushes one new entry per
-//   successful decrease, batched through push_batch (one lock / epoch
-//   pin / LSM block for the whole arc scan). Every dist[] decrease is
-//   monotone, so the fixpoint is the exact shortest-path distances — for
-//   relaxed AND strict queues; relaxation costs extra stale work, never
-//   correctness. fig3 and the ctest suite assert exact equality against
-//   sequential Dijkstra.
+//   pops a CHUNK of up to kChunk entries with one try_pop_batch (one
+//   lock / epoch pin for the chunk) and processes its entries in turn.
+//   For each (d, v): if dist[v] < d the entry is STALE — some thread,
+//   or an earlier entry of this same chunk, already improved v past the
+//   priority this entry was queued at — and is dropped without scanning
+//   v's arcs (the stale-entry elision; it runs per entry, at processing
+//   time, not once at pop time). Otherwise the worker relaxes v's arcs
+//   with a CAS-min loop per head node and appends one new entry per
+//   successful decrease to the chunk's successor vector. After the last
+//   entry, ONE push_batch publishes the successors of the whole chunk.
+//   So a processed entry costs about 2/kChunk queue round trips instead
+//   of two. Every dist[] decrease is monotone, so the fixpoint is the
+//   exact shortest-path distances — for relaxed AND strict queues;
+//   relaxation costs extra stale work, never correctness. fig3 and the
+//   ctest suite assert exact equality against sequential Dijkstra.
+//
+//   Relaxation bound: on the MultiQueue a chunk is the kChunk smallest
+//   entries of one slot (one heap's pops under one lock), the same
+//   shape as the pop buffer's B argument in core/multi_queue.hpp, with
+//   kChunk playing B. A chunk entry can be overtaken only by the at
+//   most kChunk-1 entries ahead of it in its chunk, plus whatever other
+//   workers pop meanwhile; successors wait for the end of their chunk.
+//   On a strict queue each chunk is an exact run of deleteMins. Larger
+//   chunks trade extra relaxations for fewer round trips: kChunk comes
+//   from a sweep on perfbench sssp_road (docs/BENCHMARKS.md).
 //
 // Termination (the concept makes emptiness RELAXED — a false try_pop
 // means "looked empty", so it can never end the loop by itself) uses
 // the per-worker lanes of util/in_flight.hpp, whose header carries the
-// proof: the seed is counted on lane 0 before the workers start; each
-// successor batch is counted on the worker's lane BEFORE push_batch
-// publishes it; the popped entry is marked done only after it is fully
-// processed (successors counted and pushed). A worker whose pop fails
-// stops iff the detector is quiescent, and otherwise backs off
-// (pcq::backoff ladder) and retries: an element exists or is about to,
-// and handle-buffered elements (k-LSM local components, MultiQueue pop
+// proof: the seed is counted on lane 0 before the workers start; a
+// chunk's successors are counted on the worker's lane BEFORE push_batch
+// publishes them; the chunk's entries are marked done, with one
+// done(tid, n) store, only after all of them are fully processed
+// (successors counted and pushed). A worker whose pop fails stops iff
+// the detector is quiescent, and otherwise backs off (pcq::backoff
+// ladder) and retries: an element exists or is about to, and
+// handle-buffered elements (k-LSM local components, MultiQueue pop
 // buffers) stay counted and poppable by their owner. A quiescent
 // verdict synchronizes with every worker's last done, so every dist[]
 // write is ordered before any worker returns.
@@ -38,6 +52,7 @@
 
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -54,6 +69,12 @@
 
 namespace pcq {
 namespace graph {
+
+/// Entries a worker pops per try_pop_batch and relaxes before one
+/// push_batch publishes their successors. Chosen from a sweep on
+/// perfbench sssp_road (docs/BENCHMARKS.md): 8 left throughput on the
+/// table, 32 cost ~5% extra relaxations.
+constexpr std::size_t kChunk = 16;
 
 struct sssp_result {
   std::vector<std::uint64_t> distance;  ///< kUnreachable if no path
@@ -92,24 +113,26 @@ sssp_result parallel_sssp(const csr_graph& g, csr_graph::node_id source,
 
   auto worker = [&](std::size_t tid) {
     auto handle = queue.get_handle(tid);
-    std::vector<entry> batch;
+    std::array<entry, kChunk> chunk;
+    std::vector<entry> successors;
     backoff bo;
     std::uint64_t my_relaxed = 0, my_stale = 0;
     while (true) {
-      typename entry::first_type key{};
-      typename entry::second_type value{};
-      if (!handle.try_pop(key, value)) {
+      const std::size_t got = handle.try_pop_batch(chunk.data(), kChunk);
+      if (got == 0) {
         if (detector.quiescent()) break;
         bo.pause();
         continue;
       }
       bo.reset();
-      const auto d = static_cast<std::uint64_t>(key);
-      const auto u = static_cast<csr_graph::node_id>(value);
-      if (dist[u].load(std::memory_order_acquire) < d) {
-        ++my_stale;  // stale-entry elision: v was improved past d
-      } else {
-        batch.clear();
+      successors.clear();
+      for (std::size_t i = 0; i < got; ++i) {
+        const auto d = static_cast<std::uint64_t>(chunk[i].first);
+        const auto u = static_cast<csr_graph::node_id>(chunk[i].second);
+        if (dist[u].load(std::memory_order_acquire) < d) {
+          ++my_stale;  // stale-entry elision: u was improved past d
+          continue;
+        }
         for (const csr_graph::arc& a : g.out(u)) {
           const std::uint64_t nd = d + a.weight;
           std::uint64_t cur = dist[a.head].load(std::memory_order_relaxed);
@@ -117,24 +140,24 @@ sssp_result parallel_sssp(const csr_graph& g, csr_graph::node_id source,
             if (dist[a.head].compare_exchange_weak(
                     cur, nd, std::memory_order_acq_rel,
                     std::memory_order_relaxed)) {
-              batch.push_back(entry(nd, a.head));
+              successors.push_back(entry(nd, a.head));
               ++my_relaxed;
               break;
             }
           }
         }
-        if (!batch.empty()) {
-          // Count BEFORE publishing: an entry must never be poppable
-          // while uncounted, or a racing quiescence check could stop
-          // workers with work still queued.
-          detector.pushed(tid, batch.size());
-          handle.push_batch(batch.data(), batch.size());
-        }
       }
-      // Our entry is fully processed only now (successors counted and
+      if (!successors.empty()) {
+        // Count BEFORE publishing: an entry must never be poppable
+        // while uncounted, or a racing quiescence check could stop
+        // workers with work still queued.
+        detector.pushed(tid, successors.size());
+        handle.push_batch(successors.data(), successors.size());
+      }
+      // The chunk is fully processed only now (successors counted and
       // pushed); the release store orders its dist[] writes before any
       // quiescent verdict that counts it.
-      detector.done(tid);
+      detector.done(tid, got);
     }
     relaxed[tid] = my_relaxed;
     stale[tid] = my_stale;

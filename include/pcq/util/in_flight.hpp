@@ -11,9 +11,10 @@
 //   pushed(w, n)  worker w is about to make n entries poppable; a
 //                 relaxed store, made BEFORE the queue push publishes
 //                 them (seed pushes go to lane 0 before workers start);
-//   done(w)       worker w has fully processed one popped entry,
+//   done(w, n)    worker w has fully processed n popped entries,
 //                 successors already counted and pushed; a release
-//                 store, made AFTER the processing.
+//                 store, made AFTER the processing (a worker that pops
+//                 a chunk marks the whole chunk with one store).
 //
 // quiescent() reads every `done` lane, then every `pushed` lane, all
 // with acquire loads, and returns true iff the two sums are equal. The
@@ -38,7 +39,9 @@
 //      entries is a bijection onto P: every entry whose push was seen
 //      is done.
 //   3. An entry pushed while its parent was in flight is pushed before
-//      the parent's `done` store on the same lane, so if the parent's
+//      the parent's `done` store on the same lane: a `done(w, n)` store
+//      is made only once all n entries it marks are fully processed, so
+//      it follows every push made for any of them. So if the parent's
 //      completion is in D the child's push happens-before the pushed
 //      scan and is in P.
 //   4. Induction from the seed: seed pushes happen before any worker
@@ -88,11 +91,11 @@ class in_flight {
     c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
   }
 
-  /// Worker `w` has fully processed one popped entry: everything it
-  /// pushed while processing it is already counted and pushed.
-  void done(std::size_t w) {
+  /// Worker `w` has fully processed `n` popped entries: everything it
+  /// pushed while processing them is already counted and pushed.
+  void done(std::size_t w, std::uint64_t n = 1) {
     std::atomic<std::uint64_t>& c = lanes_[w].done;
-    c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_release);
+    c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_release);
   }
 
   /// True iff nothing is in flight and nothing can be pushed again (the

@@ -21,6 +21,7 @@
 
 #include "util/in_flight.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -81,6 +82,35 @@ void test_count_before_publish() {
   CHECK(!d.quiescent());
   d.done(0);
   CHECK(d.quiescent());
+}
+
+void test_chunked_done() {
+  // Workers that pop chunks mark a whole chunk with one done(w, n). It
+  // must give the same verdicts as n single done(w) calls: compare two
+  // detectors step by step through the same pops, chunk sizes 1-5.
+  pcq::in_flight chunked(4), single(4);
+  pcq::xoshiro256ss rng(0xc4u);
+  chunked.pushed(0, 3);
+  single.pushed(0, 3);
+  std::uint64_t queued = 3;
+  for (int step = 0; step < 200 && queued > 0; ++step) {
+    const std::size_t w = rng.bounded(4);
+    const std::uint64_t n =
+        1 + rng.bounded(std::min<std::uint64_t>(queued, 5));
+    queued -= n;
+    const std::uint64_t kids = step < 150 ? rng.bounded(2 * n + 1) : 0;
+    chunked.pushed(w, kids);
+    single.pushed(w, kids);
+    queued += kids;
+    CHECK(chunked.quiescent() == single.quiescent());
+    CHECK(!chunked.quiescent());  // the chunk is popped, not yet done
+    chunked.done(w, n);
+    for (std::uint64_t i = 0; i < n; ++i) single.done(w);
+    CHECK(chunked.quiescent() == single.quiescent());
+    CHECK(chunked.quiescent() == (queued == 0));
+  }
+  CHECK(queued == 0);
+  CHECK(chunked.quiescent() && single.quiescent());
 }
 
 // A random caterpillar: a spine of up to 160 nodes, each spine node
@@ -206,6 +236,7 @@ int main() {
   test_seed_only();
   test_handle_buffered();
   test_count_before_publish();
+  test_chunked_done();
 
   const std::size_t rounds = 4000;
   for (std::size_t threads : {4, 8}) {

@@ -292,6 +292,31 @@ int main() {
     pcq::testing::run_standard_suite(make_batched, /*drain_exact=*/false);
   }
 
+  // try_pop_batch serves a non-empty pop buffer first, on its own: the
+  // elements a try_pop refill left buffered must not be skipped (they
+  // would stay live but reachable only through this handle's try_pop).
+  {
+    pcq::mq_config cfg;
+    cfg.queue_factor = 1;
+    cfg.pop_batch = 4;
+    mq queue(cfg, 1);
+    auto handle = queue.get_handle(0);
+    for (std::uint64_t k = 0; k < 8; ++k) handle.push(k, k + 100);
+    std::uint64_t key = 0, value = 0;
+    CHECK(handle.try_pop(key, value));  // refills 0..3, delivers 0
+    CHECK(key == 0 && value == 100);
+    mq::entry out[8];
+    CHECK(handle.try_pop_batch(out, 8) == 3);  // exactly the buffer
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      CHECK(out[i].first == i + 1 && out[i].second == i + 101);
+    }
+    CHECK(queue.size() == 4);
+    CHECK(handle.try_pop_batch(out, 8) == 4);  // the rest, from the slot
+    for (std::uint64_t i = 0; i < 4; ++i) CHECK(out[i].first == i + 4);
+    CHECK(handle.try_pop_batch(out, 8) == 0);
+    CHECK(queue.size() == 0);
+  }
+
   // Shared harness: conservation, no-lost-wakeups, exact drain at the
   // 1-thread degeneration.
   pcq::testing::run_standard_suite(make_mq, /*drain_exact=*/true);
